@@ -52,7 +52,8 @@ from typing import Optional
 from repro.errors import ConfigError
 from repro.utils.rng import SplitRng
 
-__all__ = ["FAULT_KINDS", "ChaosCrash", "ChaosEvent", "ChaosSchedule"]
+__all__ = ["FAULT_KINDS", "ChaosCrash", "ChaosEvent", "ChaosSchedule",
+           "parse_spec"]
 
 FAULT_KINDS = ("kill", "stall", "tear", "io", "cache", "sigterm", "sigint")
 
@@ -60,6 +61,52 @@ FAULT_KINDS = ("kill", "stall", "tear", "io", "cache", "sigterm", "sigint")
 # journal writer's retry budget, so retry always recovers and the
 # fault is *transient* by construction.
 _IO_ERRORS_PER_EVENT = 2
+
+
+def parse_spec(spec, kinds, seed, namespace, horizon, what="chaos",
+               at_means="a trial count"):
+    """The ``(kind, at)`` events of a ``kind[:count][@at]`` spec string.
+
+    Tokens are comma-separated; each yields ``count`` (default 1)
+    events of ``kind``, which must be one of ``kinds``.  Anchored events
+    fire at ``at``; the rest draw it uniformly from ``1..horizon`` via
+    the named splits ``seed -> namespace -> spec -> token``, so a seed
+    and spec always yield the same events.  ``what`` and ``at_means``
+    word the :class:`~repro.errors.ConfigError` messages.
+    """
+    rng = SplitRng(seed).split(namespace).split(spec)
+    events = []
+    for position, token in enumerate(spec.split(",")):
+        token = token.strip()
+        if not token:
+            continue
+        body, at = token, None
+        if "@" in body:
+            body, _, at_text = body.partition("@")
+            try:
+                at = int(at_text)
+            except ValueError:
+                raise ConfigError("%s token %r: %r is not %s"
+                                  % (what, token, at_text, at_means))
+        count = 1
+        if ":" in body:
+            body, _, count_text = body.partition(":")
+            try:
+                count = int(count_text)
+            except ValueError:
+                raise ConfigError("%s token %r: %r is not a count"
+                                  % (what, token, count_text))
+        kind = body.strip()
+        if kind not in kinds:
+            raise ConfigError("unknown %s fault %r (choose from %s)"
+                              % (what, kind, ", ".join(kinds)))
+        for index in range(count):
+            if at is None:
+                token_rng = rng.split("%d/%s/%d" % (position, kind, index))
+                events.append((kind, 1 + token_rng.randrange(max(1, horizon))))
+            else:
+                events.append((kind, at))
+    return events
 
 
 class ChaosCrash(RuntimeError):
@@ -109,44 +156,9 @@ class ChaosSchedule:
         """
         if total is None:
             total = config.total_trials
-        rng = SplitRng(config.seed).split("chaos").split(spec)
-        events = []
-        for position, token in enumerate(spec.split(",")):
-            token = token.strip()
-            if not token:
-                continue
-            body, at = token, None
-            if "@" in body:
-                body, _, at_text = body.partition("@")
-                try:
-                    at = int(at_text)
-                except ValueError:
-                    raise ConfigError(
-                        "chaos token %r: %r is not a trial count"
-                        % (token, at_text))
-            count = 1
-            if ":" in body:
-                body, _, count_text = body.partition(":")
-                try:
-                    count = int(count_text)
-                except ValueError:
-                    raise ConfigError(
-                        "chaos token %r: %r is not a count"
-                        % (token, count_text))
-            kind = body.strip()
-            if kind not in FAULT_KINDS:
-                raise ConfigError(
-                    "unknown chaos fault %r (choose from %s)"
-                    % (kind, ", ".join(FAULT_KINDS)))
-            for index in range(count):
-                if at is not None:
-                    at_done = at
-                else:
-                    token_rng = rng.split(
-                        "%d/%s/%d" % (position, kind, index))
-                    at_done = 1 + token_rng.randrange(max(1, total))
-                events.append(ChaosEvent(kind=kind, at_done=at_done))
-        return cls(events)
+        return cls([ChaosEvent(kind=kind, at_done=at) for kind, at
+                    in parse_spec(spec, FAULT_KINDS, config.seed, "chaos",
+                                  total)])
 
     @property
     def pending(self):

@@ -10,8 +10,9 @@ Subcommands:
 * ``overhead``   -- print the protection-mechanism storage overheads.
 * ``lint``       -- static analysis of the model itself (injectability,
   determinism, ghost isolation; see docs/LINTING.md).
-* ``bench``      -- fixed micro/smoke benchmark suite tracking simulator
-  throughput across revisions (see docs/PERFORMANCE.md).
+* ``bench``      -- fixed micro-benchmark suite tracking the cycle rate,
+  signature reads and restores across revisions (see
+  docs/PERFORMANCE.md).
 * ``serve`` / ``worker`` / ``submit`` -- the distributed campaign
   fabric: run a coordinator, attach pull-based workers, submit
   fingerprinted campaigns (see docs/FABRIC.md).
@@ -53,7 +54,7 @@ def main(argv=None):
         from repro.lint.cli import main as lint_main
         return lint_main(argv[1:])
     if argv and argv[0] == "bench":
-        # Same verbatim forward (e.g. ``bench --check``).
+        # Same verbatim forward (e.g. ``bench --no-write``).
         from repro.perf.bench import main as bench_main
         return bench_main(argv[1:])
     parser = build_parser()
@@ -334,7 +335,7 @@ def build_parser():
     p.set_defaults(handler=cmd_lint)
 
     p = sub.add_parser("bench", add_help=False,
-                       help="fixed micro/smoke benchmark suite; writes "
+                       help="fixed micro-benchmark suite; writes "
                             "BENCH_<rev>.json (see docs/PERFORMANCE.md)")
     p.add_argument("bench_args", nargs=argparse.REMAINDER,
                    help="arguments forwarded to repro.perf.bench "

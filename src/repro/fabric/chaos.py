@@ -35,8 +35,7 @@ seed, uniform over ``horizon`` leases.
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ConfigError
-from repro.utils.rng import SplitRng
+from repro.chaos.schedule import parse_spec
 
 __all__ = ["NET_FAULT_KINDS", "NetChaosEvent", "NetChaosSchedule"]
 
@@ -73,44 +72,11 @@ class NetChaosSchedule:
         likely to fire in a short run (events past the last lease
         simply never fire, and :attr:`pending` reports them).
         """
-        rng = SplitRng(seed).split("fabric-chaos").split(spec)
-        events = []
-        for position, token in enumerate(spec.split(",")):
-            token = token.strip()
-            if not token:
-                continue
-            body, at = token, None
-            if "@" in body:
-                body, _, at_text = body.partition("@")
-                try:
-                    at = int(at_text)
-                except ValueError:
-                    raise ConfigError(
-                        "fabric chaos token %r: %r is not a lease number"
-                        % (token, at_text))
-            count = 1
-            if ":" in body:
-                body, _, count_text = body.partition(":")
-                try:
-                    count = int(count_text)
-                except ValueError:
-                    raise ConfigError(
-                        "fabric chaos token %r: %r is not a count"
-                        % (token, count_text))
-            kind = body.strip()
-            if kind not in NET_FAULT_KINDS:
-                raise ConfigError(
-                    "unknown fabric chaos fault %r (choose from %s)"
-                    % (kind, ", ".join(NET_FAULT_KINDS)))
-            for index in range(count):
-                if at is not None:
-                    at_lease = at
-                else:
-                    token_rng = rng.split(
-                        "%d/%s/%d" % (position, kind, index))
-                    at_lease = 1 + token_rng.randrange(max(1, horizon))
-                events.append(NetChaosEvent(kind=kind, at_lease=at_lease))
-        return cls(events)
+        return cls([NetChaosEvent(kind=kind, at_lease=at) for kind, at
+                    in parse_spec(spec, NET_FAULT_KINDS, seed,
+                                  "fabric-chaos", horizon,
+                                  what="fabric chaos",
+                                  at_means="a lease number")])
 
     @property
     def pending(self):

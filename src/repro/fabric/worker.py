@@ -187,14 +187,20 @@ class FabricWorker:
         fingerprint = reply.get("fingerprint") \
             or campaign_fingerprint(config)
         heartbeats = None
+        executed = asyncio.Event()
         if not partitioned:
             heartbeats = asyncio.ensure_future(
-                self._heartbeat_loop(lease, ttl))
+                self._heartbeat_loop(lease, ttl, executed))
         try:
             entries = await self._execute(config, fingerprint,
                                           lease["lo"], lease["hi"])
         finally:
             if heartbeats is not None:
+                # The event, not only the cancel, ends the beats: before
+                # Python 3.12, asyncio.wait_for swallows a cancel that
+                # lands just as a heartbeat reply arrives, and the loop
+                # would then keep this lease alive forever.
+                executed.set()
                 heartbeats.cancel()
                 try:
                     await heartbeats
@@ -216,9 +222,9 @@ class FabricWorker:
             self._say("chaos: duplicate completion of %s -> %s"
                       % (lease["lease_id"], second))
 
-    async def _heartbeat_loop(self, lease, ttl):
+    async def _heartbeat_loop(self, lease, ttl, executed):
         interval = max(0.05, ttl / 3.0)
-        while True:
+        while not executed.is_set():
             await asyncio.sleep(interval)
             try:
                 # A couple of quick in-beat retries; a beat that still

@@ -23,7 +23,6 @@ from repro.inject.software import (
     SoftwareCampaignConfig,
     SoftwareOutcome,
 )
-from repro.inject.parallel import run_parallel
 from repro.inject.store import load_result, save_result
 from repro.inject.trial import run_trial
 
@@ -40,7 +39,6 @@ __all__ = [
     "SoftwareCampaignConfig",
     "SoftwareOutcome",
     "run_trial",
-    "run_parallel",
     "save_result",
     "load_result",
 ]

@@ -9,18 +9,17 @@ scale, scaled down by default for laptop runtimes (see
 :meth:`CampaignConfig.paper` / :meth:`CampaignConfig.test`).
 """
 
-import time
 from dataclasses import dataclass, field
 
 from repro.errors import CampaignError
 from repro.faultlib import parse_fault_model
-from repro.inject.golden import record_golden, workload_page_sets
-from repro.inject.trial import run_trial
-from repro.uarch.config import PipelineConfig, ProtectionConfig
-from repro.uarch.core import Pipeline
+# Not used in this module.  The layer tracer (perfbench/tracer.py)
+# reads and rebinds ``repro.inject.campaign.run_trial`` when it
+# installs, so the name must stay importable from here.
+from repro.inject.trial import run_trial  # noqa: F401
+from repro.uarch.config import ProtectionConfig
 from repro.uarch.statelib import StorageKind
-from repro.utils.rng import SplitRng
-from repro.workloads import WORKLOAD_NAMES, get_workload
+from repro.workloads import WORKLOAD_NAMES
 
 # Normalized (frozenset) kind populations: resolved once here at the
 # campaign boundary so the per-trial injection path never re-normalizes.
@@ -145,79 +144,26 @@ class CampaignResult:
 
 
 class Campaign:
-    """Runs injection trials per the configured sweep."""
+    """A campaign run in-process on the execution engine."""
 
     def __init__(self, config, pipeline_config=None):
         self.config = config
-        self.pipeline_config = pipeline_config or PipelineConfig.paper(
-            config.protection)
-        self.observer = None  # the repro.obs observer of the last run()
+        self.pipeline_config = pipeline_config
 
     def run(self, progress=None):
         """Execute the campaign; returns a :class:`CampaignResult`.
 
-        ``progress`` is an optional callable invoked as
-        ``progress(done_trials, total_trials)``.
+        This is one inline :class:`~repro.runner.CampaignRunner` worker
+        with no journal and no signal handlers, so its trials are those
+        of every other engine path.  ``progress`` is an optional
+        callable invoked as ``progress(done_trials, total_trials)``.
         """
-        from repro.obs import observer_from_config
+        from repro.runner.engine import CampaignRunner
 
-        config = self.config
-        rng_root = SplitRng(config.seed)
-        kinds = _KINDS[config.kinds]
-        model = parse_fault_model(config.fault_model)
-        observer = observer_from_config(config)
-        self.observer = observer
-        trials = []
-        eligible_bits = None
-        inventory = None
-        # repro-lint: allow=REP002 (wall-clock is reporting metadata only;
-        # it never feeds trial state or outcome classification)
-        started = time.time()
-        done = 0
-
-        for workload_name in config.workloads:
-            workload = get_workload(workload_name, scale=config.scale)
-            insn_pages, data_pages = workload_page_sets(workload.program)
-            pipeline = Pipeline(workload.program, self.pipeline_config)
-            if eligible_bits is None:
-                eligible_bits = pipeline.eligible_bits(kinds)
-                inventory = pipeline.space.inventory()
-            pipeline.run(config.warmup_cycles, stop_on_halt=True)
-            wl_rng = rng_root.split("workload/%s" % workload_name)
-
-            for start_point in range(config.start_points_per_workload):
-                pipeline.run(config.spacing_cycles, stop_on_halt=True)
-                if pipeline.halted:
-                    raise CampaignError(
-                        "workload %r finished before start point %d; use a "
-                        "larger scale" % (workload_name, start_point))
-                checkpoint = pipeline.checkpoint()
-                golden = record_golden(
-                    pipeline, checkpoint, config.horizon, config.margin,
-                    insn_pages, data_pages,
-                    verify_replay=config.verify_golden and start_point == 0)
-                sp_rng = wl_rng.split("sp/%d" % start_point)
-                for trial_index in range(config.trials_per_start_point):
-                    trial_rng = sp_rng.split("trial/%d" % trial_index)
-                    trials.append(run_trial(
-                        pipeline, checkpoint, golden, trial_rng, kinds,
-                        workload_name, start_point,
-                        horizon=config.horizon,
-                        locked_multiplier=config.locked_multiplier,
-                        trial_index=trial_index, obs=observer,
-                        model=model))
-                    done += 1
-                    if progress is not None:
-                        progress(done, config.total_trials)
-                pipeline.restore(checkpoint)
-                pipeline.tlb_insn_pages = None
-                pipeline.tlb_data_pages = None
-
-        return CampaignResult(
-            config=config,
-            trials=trials,
-            eligible_bits=eligible_bits or 0,
-            inventory=inventory or {},
-            # repro-lint: allow=REP002 (reporting metadata, see above)
-            elapsed_seconds=time.time() - started,
-        )
+        on_snapshot = None
+        if progress is not None:
+            def on_snapshot(snapshot):
+                progress(snapshot.done, snapshot.total)
+        return CampaignRunner(
+            self.config, self.pipeline_config, workers=1,
+            install_signal_handlers=False, progress=on_snapshot).run()

@@ -330,7 +330,7 @@ def merge_campaign_dicts(documents):
     recovered from interrupted runs on different hosts -- deduplicates
     trials on their ``(workload, start_point, trial_index)`` unit key,
     and returns one merged document with the trials in serial
-    (``Campaign.run()``) order.  Mixing documents with different
+    (config) order.  Mixing documents with different
     ``schema`` versions or campaign fingerprints raises
     :class:`~repro.errors.SimulationError`: their trials are not drawn
     from the same experiment and must never be aggregated.

@@ -9,12 +9,10 @@ can scrape a long campaign without bespoke parsing.  Both files are
 rewritten atomically by :func:`repro.runner.journal.write_metrics`.
 
 Monotonic samples (lease grants, steals, retries, ...) are exposed as
-OpenMetrics *counters* named ``repro_*_total``; each keeps a
-deprecated gauge alias under its pre-rename name for one release so
-existing scrape configs keep working (see docs/OBSERVABILITY.md for
-the rename table).  ``repro_build_info`` is the conventional
-info-style constant-1 sample carrying schema versions and the repo
-revision as labels.
+OpenMetrics *counters* named ``repro_*_total`` (docs/OBSERVABILITY.md
+lists the pre-rename gauge names they replaced).  ``repro_build_info``
+is the conventional info-style constant-1 sample carrying schema
+versions and the repo revision as labels.
 """
 
 import os
@@ -99,16 +97,8 @@ def render_openmetrics(snapshot):
         family(name, "gauge", value, help_text, labelled_samples)
 
     def counter(name, value, help_text):
-        """A monotonic counter plus its deprecated gauge alias.
-
-        ``name`` is the pre-rename sample name; the counter itself is
-        ``<name>_total`` (Prometheus naming).  The alias disappears
-        next release -- scrape the ``_total`` name.
-        """
+        """A monotonic counter, exposed as ``<name>_total``."""
         family("%s_total" % name, "counter", value, help_text)
-        family(name, "gauge", value,
-               "DEPRECATED alias of %s_total; removed next release."
-               % name)
 
     journal_schema, result_schema = _schema_versions()
     gauge("%s_build_info" % p, None,

@@ -1,7 +1,7 @@
-"""The fixed benchmark suite behind ``repro-faults bench``.
+"""The fixed micro-benchmark suite behind ``repro-faults bench``.
 
 Every run measures the same deterministic suite (fixed workload, fixed
-seeds, fixed cycle counts) so numbers are comparable across revisions:
+seed, fixed cycle counts) so numbers are comparable across revisions:
 
 * ``cycles_per_sec``       -- raw fault-free pipeline throughput;
 * ``signature_us``         -- one ``StateSpace.signature()`` read (the
@@ -10,31 +10,15 @@ seeds, fixed cycle counts) so numbers are comparable across revisions:
 * ``restore_us``           -- one copy-on-write trial restore (the path
   every trial takes against the live checkpoint);
 * ``restore_full_us``      -- one full restore from a non-baseline
-  snapshot (the slow path a start-point switch takes);
-* ``trials_per_sec_cold``  -- the smoke campaign with an empty golden
-  cache (records + verifies every window);
-* ``trials_per_sec``      -- the same smoke campaign against a warm
-  golden cache: the steady-state number a pool worker sees;
-* ``trials_per_sec_batched`` -- the bit-plane batched engine
-  (:mod:`repro.perf.batch`) on a steady-state worker: page sets
-  precomputed the way the engine primes its pool workers, golden and
-  activity caches warm, ``batch_lanes`` trials packed per group.  The
-  scalar smoke metrics keep their historical fresh-context methodology
-  for cross-revision comparability; the batched metric measures the
-  regime the batched engine exists for.
+  snapshot (the slow path a start-point switch takes).
 
-Results land in ``BENCH_<rev>.json`` at the repository root (schema 2;
-schema-1 files from older revisions still load).  A run reports drift
-against both the most recent committed file and the per-metric
-best-of-history across every committed file; with ``--check`` it fails
-on a throughput regression beyond the threshold (``--threshold`` /
-``REPRO_BENCH_TOLERANCE``, default 25%) relative to the *best* -- a
-slow machine day cannot quietly ratchet the bar down.  Timing
-obviously reads the wall clock; that never touches simulation state,
-so the REP002 suppressions here are by design.
-
-``REPRO_BENCH_SKIP`` (any non-empty value) makes the regression gate a
-no-op -- the escape hatch for loaded or throttled machines.
+Results land in ``BENCH_<rev>.json`` at the repository root, and a run
+prints its drift against the most recent committed file.  Nothing here
+gates: end-to-end campaign throughput is measured, and bounded, by the
+``perfbench/`` campaign benchmark, which times fresh processes from
+outside and takes the median of several runs.  Timing obviously reads
+the wall clock; that never touches simulation state, so the REP002
+suppressions here are by design.
 """
 
 import argparse
@@ -43,42 +27,18 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 import time
 from datetime import datetime, timezone
 
-from repro.inject.campaign import CampaignConfig
-from repro.inject.golden import workload_page_sets
-from repro.runner.pool import WorkerContext
-from repro.runner.units import TrialUnit, batch_units, enumerate_units
 from repro.uarch.core import Pipeline
 from repro.workloads import get_workload
 
-__all__ = ["run_bench", "compare_metrics", "load_previous", "load_best",
-           "write_bench", "main", "THROUGHPUT_KEYS", "SCHEMA"]
+__all__ = ["run_bench", "load_previous", "write_bench", "main", "SCHEMA"]
 
 SCHEMA = 2
-# Schemas this loader understands; schema-1 files predate the batched
-# metrics and simply lack those keys.
-_READABLE_SCHEMAS = (1, 2)
-
-# Higher-is-better metrics the regression gate checks.  The *_us
-# latencies and cycles_per_sec are reported for trend-watching but not
-# gated: the latencies are noisy at the microsecond scale, and the raw
-# cycle rate moves whenever the per-write bookkeeping does (incremental
-# signature maintenance trades cycle rate for trial throughput) -- the
-# end-to-end trial throughput is the quantity campaigns actually feel.
-THROUGHPUT_KEYS = ("trials_per_sec", "trials_per_sec_cold",
-                   "trials_per_sec_batched")
 
 _BENCH_WORKLOAD = "gzip"
 _BENCH_CYCLES = 600
-# Lanes per bit-plane group in the batched suite.  Wide enough that
-# per-group fixed costs (the one shared forward replay serving every
-# laned-out suffix, prepared-state restore) are amortised -- measured
-# throughput keeps climbing to ~64 lanes and plateaus there, bounded
-# by the per-lane scalar suffixes themselves.
-_BATCH_LANES = 64
 
 
 # repro-lint: allow=REP002 (benchmark timing: wall clock feeds reported
@@ -112,7 +72,7 @@ def _timed_restore(pipeline, snapshot_of, reps, dirty_cycles=30,
     return best
 
 
-def micro_metrics(reps=3):
+def run_bench(reps=3):
     """Cycle/signature/restore micro-benchmarks on a warm pipeline."""
     workload = get_workload(_BENCH_WORKLOAD, scale="tiny")
     pipeline = Pipeline(workload.program)
@@ -168,79 +128,6 @@ def micro_metrics(reps=3):
     }
 
 
-def smoke_metrics(reps=3):
-    """The smoke campaign, cold (recording) and warm (cache hits)."""
-    config = CampaignConfig.test()
-    units = [TrialUnit(_BENCH_WORKLOAD, start_point, trial)
-             for start_point in range(config.start_points_per_workload)
-             for trial in range(config.trials_per_start_point)]
-
-    def run_all(golden_dir):
-        context = WorkerContext(config, golden_dir=golden_dir)
-        for unit in units:
-            context.run_unit(unit)
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        golden_dir = os.path.join(tmp, "golden")
-        cold_seconds = _best_seconds(lambda: run_all(golden_dir), 1)
-        warm_seconds = _best_seconds(lambda: run_all(golden_dir), reps)
-
-    return {
-        "smoke_trials": len(units),
-        "trials_per_sec_cold": round(len(units) / cold_seconds, 2),
-        "trials_per_sec": round(len(units) / warm_seconds, 2),
-    }
-
-
-def batched_metrics(reps=3):
-    """Steady-state throughput of the bit-plane batched engine.
-
-    The methodology deliberately differs from ``trials_per_sec``: the
-    scalar smoke metric rebuilds a fresh :class:`WorkerContext` every
-    repetition (its historical definition, kept so old BENCH files stay
-    comparable), while this metric measures a *steady-state* worker --
-    page sets precomputed the way the engine primes its pool, golden
-    and activity caches warm after one untimed priming pass -- because
-    lane amortisation is the whole point of the batched engine and only
-    shows in that regime.
-    """
-    config = CampaignConfig.test(trials_per_start_point=_BATCH_LANES)
-    units = enumerate_units(config)
-    batches = batch_units(units, _BATCH_LANES)
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        golden_dir = os.path.join(tmp, "golden")
-        page_sets = {
-            name: workload_page_sets(
-                get_workload(name, scale=config.scale).program)
-            for name in config.workloads}
-        context = WorkerContext(config, page_sets=page_sets,
-                                golden_dir=golden_dir,
-                                batch_lanes=_BATCH_LANES)
-
-        def run_all():
-            for batch in batches:
-                for _unit, _trial in context.run_batch(batch):
-                    pass
-
-        run_all()  # prime: record goldens + activity traces into cache
-        context.take_batch_stats()
-        batched_seconds = _best_seconds(run_all, reps)
-
-    return {
-        "batch_lanes": _BATCH_LANES,
-        "trials_per_sec_batched": round(len(units) / batched_seconds, 2),
-    }
-
-
-def run_bench(reps=3):
-    """The full metric dict of one benchmark run."""
-    metrics = micro_metrics(reps=reps)
-    metrics.update(smoke_metrics(reps=reps))
-    metrics.update(batched_metrics(reps=reps))
-    return metrics
-
-
 # -- persistence and comparison -----------------------------------------------
 
 
@@ -274,7 +161,7 @@ def bench_files(directory):
         except (OSError, ValueError):
             continue
         if isinstance(data, dict) and "metrics" in data \
-                and data.get("schema", 1) in _READABLE_SCHEMAS:
+                and data.get("schema") == SCHEMA:
             entries.append((data.get("created", ""), path, data))
     entries.sort()
     return [(path, data) for _, path, data in entries]
@@ -290,49 +177,6 @@ def load_previous(directory, exclude_rev=None):
     return found
 
 
-def load_best(directory, exclude_rev=None):
-    """Per-metric best across every committed ``BENCH_*.json``.
-
-    Returns ``(best, sources)``: ``best`` maps each throughput key to
-    the highest value any file recorded, ``sources`` maps it to the
-    revision that set it.  ``(None, None)`` when no eligible file
-    exists.  Gating against the best rather than the latest file keeps
-    one slow-machine run from quietly ratcheting the bar down.
-    """
-    best = {}
-    sources = {}
-    for _path, data in bench_files(directory):
-        if exclude_rev is not None and data.get("rev") == exclude_rev:
-            continue
-        metrics = data.get("metrics") or {}
-        for key in THROUGHPUT_KEYS:
-            value = metrics.get(key)
-            if value and (key not in best or value > best[key]):
-                best[key] = value
-                sources[key] = data.get("rev", "?")
-    if not best:
-        return None, None
-    return best, sources
-
-
-def compare_metrics(previous, current, threshold):
-    """Regression messages for throughput drops beyond ``threshold``."""
-    regressions = []
-    for key in THROUGHPUT_KEYS:
-        old = previous.get(key)
-        new = current.get(key)
-        if not old or new is None:
-            continue
-        floor = old * (1.0 - threshold)
-        if new < floor:
-            regressions.append(
-                "%s regressed %.1f%%: %.2f -> %.2f (floor %.2f at "
-                "threshold %d%%)"
-                % (key, 100.0 * (old - new) / old, old, new, floor,
-                   round(threshold * 100)))
-    return regressions
-
-
 def write_bench(directory, rev, metrics):
     """Write ``BENCH_<rev>.json``; returns its path."""
     path = os.path.join(directory, "BENCH_%s.json" % rev)
@@ -344,12 +188,6 @@ def write_bench(directory, rev, metrics):
         "suite": {
             "workload": _BENCH_WORKLOAD,
             "cycles": _BENCH_CYCLES,
-            "smoke": "CampaignConfig.test()",
-            "batched": "CampaignConfig.test(trials_per_start_point=%d),"
-                       " steady-state WorkerContext (page sets"
-                       " precomputed, warm golden/activity caches),"
-                       " best of reps" % _BATCH_LANES,
-            "batch_lanes": _BATCH_LANES,
         },
         "metrics": metrics,
     }
@@ -359,32 +197,15 @@ def write_bench(directory, rev, metrics):
     return path
 
 
-def default_threshold():
-    """The regression threshold (``REPRO_BENCH_TOLERANCE`` or 0.25)."""
-    raw = os.environ.get("REPRO_BENCH_TOLERANCE")
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            pass
-    return 0.25
-
-
 def main(argv=None):
     """``repro-faults bench`` entry point; returns an exit code."""
     parser = argparse.ArgumentParser(
         prog="repro-faults bench",
-        description="fixed micro/smoke benchmark suite; writes "
-                    "BENCH_<rev>.json and compares against the previous "
-                    "revision's file")
+        description="fixed micro-benchmark suite; writes "
+                    "BENCH_<rev>.json and prints the drift against the "
+                    "previous revision's file")
     parser.add_argument("--reps", type=int, default=3,
                         help="timed repetitions per metric (best-of)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero on a throughput regression")
-    parser.add_argument("--threshold", type=float,
-                        default=default_threshold(),
-                        help="allowed fractional regression (default "
-                             "0.25, or REPRO_BENCH_TOLERANCE)")
     parser.add_argument("--dir", default=None, metavar="PATH",
                         help="where BENCH_*.json files live (default: "
                              "the repository root)")
@@ -400,44 +221,22 @@ def main(argv=None):
         print("  %-22s %s" % (key, metrics[key]))
 
     previous = load_previous(directory, exclude_rev=rev)
-    regressions = []
     if previous is None:
         print("no previous BENCH_*.json to compare against")
     else:
         prev_path, prev_data = previous
         print("drift vs previous %s (rev %s):"
               % (os.path.basename(prev_path), prev_data.get("rev")))
-        for key in THROUGHPUT_KEYS + ("cycles_per_sec",):
+        for key in sorted(metrics):
             old = prev_data["metrics"].get(key)
-            new = metrics.get(key)
-            if old and new is not None:
+            new = metrics[key]
+            if old:
                 print("  %-22s %.2f -> %.2f (%+.1f%%)"
                       % (key, old, new, 100.0 * (new - old) / old))
-    best, best_sources = load_best(directory, exclude_rev=rev)
-    if best is not None:
-        # The regression gate runs against the per-metric best of every
-        # committed file, not just the newest one.
-        print("drift vs best-of-history:")
-        for key in THROUGHPUT_KEYS:
-            old = best.get(key)
-            new = metrics.get(key)
-            if old and new is not None:
-                print("  %-22s %.2f -> %.2f (%+.1f%%, best from rev %s)"
-                      % (key, old, new, 100.0 * (new - old) / old,
-                         best_sources.get(key, "?")))
-        regressions = compare_metrics(best, metrics, args.threshold)
-        for message in regressions:
-            print("REGRESSION: %s" % message)
 
     if not args.no_write:
         path = write_bench(directory, rev, metrics)
         print("wrote %s" % os.path.relpath(path, os.getcwd()))
-
-    if args.check and regressions:
-        if os.environ.get("REPRO_BENCH_SKIP"):
-            print("REPRO_BENCH_SKIP set: regression gate skipped")
-            return 0
-        return 3
     return 0
 
 

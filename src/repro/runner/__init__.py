@@ -1,8 +1,8 @@
 """Campaign execution engine: durable, trial-granular, observable.
 
-Where :class:`~repro.inject.campaign.Campaign` is the *reference*
-serial implementation of a campaign, this package is its production
-execution engine:
+This package is the one way a campaign executes;
+:meth:`repro.inject.campaign.Campaign.run` is a single inline worker of
+it without a journal:
 
 * :mod:`repro.runner.units` -- trial-granular work decomposition
   (parallelism scales with total trials, not workload count);
@@ -19,9 +19,9 @@ execution engine:
   orchestrator tying the above together.
 
 The engine's contract: for a fixed config, its ``CampaignResult``
-carries exactly the trials of ``Campaign(config).run()`` -- for any
-worker count, with or without a crash and resume in the middle.  See
-``docs/RUNNER.md``.
+carries exactly the same trials -- in serial order, for any worker
+count or batch width, with or without a crash and resume in the middle
+-- and tier-1 pins them to committed digests.  See ``docs/RUNNER.md``.
 """
 
 from repro.runner.engine import CampaignRunner, run_campaign

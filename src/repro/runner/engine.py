@@ -6,11 +6,10 @@ otherwise -- and reassembles the exact serial-order
 :class:`~repro.inject.campaign.CampaignResult`.  Three properties are
 layered on top of the plain serial loop:
 
-* **Determinism** -- every trial's RNG comes from the same named-split
-  scheme the serial :class:`~repro.inject.campaign.Campaign` uses, so
-  for a fixed config the engine's result equals ``Campaign(config)
-  .run()`` trial-for-trial, for any worker count, with or without an
-  interrupt and resume in the middle.
+* **Determinism** -- every trial's RNG comes from the named splits
+  ``seed -> workload/<name> -> sp/<n> -> trial/<n>``, so for a fixed
+  config the engine's result is the same trial-for-trial, for any
+  worker count, with or without an interrupt and resume in the middle.
 * **Durability** -- with a campaign ``directory``, every completed
   trial is appended (flushed + fsynced) to an append-only journal
   before it is counted; after a crash or SIGINT a rerun skips the
@@ -244,9 +243,9 @@ class CampaignRunner:
     def _machine_inventory(self):
         """The campaign's eligible-bit count and Table 1 inventory.
 
-        Matches the serial runner, which reads both off the first
-        workload's freshly constructed pipeline (the state space is a
-        function of the pipeline config alone, so any workload works).
+        Both are read off the first workload's freshly constructed
+        pipeline (the state space is a function of the pipeline config
+        alone, so any workload works).
         """
         workload = get_workload(self.config.workloads[0],
                                 scale=self.config.scale)
@@ -288,7 +287,7 @@ class CampaignRunner:
     def _shared_page_sets(self, pending):
         """TLB-preload page sets for every workload with pending units.
 
-        Computed once in the parent (the serial runner's total cost) and
+        Computed once in the parent (an inline run's total cost) and
         shared with all workers instead of being re-derived per process;
         the sets come from a deterministic fault-free functional run, so
         sharing cannot change any trial.

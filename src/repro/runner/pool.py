@@ -1,10 +1,10 @@
 """Worker-side trial execution and the process pool.
 
-:class:`WorkerContext` reproduces the serial campaign's per-start-point
-preparation -- warm up the workload, space forward, checkpoint, record
-the golden trace -- and caches the most recent ``(workload,
-start_point)`` so every trial of that start point shares one golden
-trace instead of re-deriving it per shard.  The same context runs both
+:class:`WorkerContext` does a campaign's per-start-point preparation
+-- warm up the workload, space forward, checkpoint, record the golden
+trace -- and caches the most recent ``(workload, start_point)`` so
+every trial of that start point shares one golden trace instead of
+re-deriving it per shard.  The same context runs both
 in-process (the engine's inline path) and inside pool workers, so the
 two paths cannot drift apart.
 
@@ -17,11 +17,13 @@ assignment of units to workers produces byte-identical trials.
 assigns batches to specific workers), which is what makes crash
 recovery precise: when a worker dies the engine knows exactly which
 batch it held and requeues only the units that have not already been
-reported back.
+reported back.  Each worker also reports on its own pipe, with no lock
+shared between processes: a worker killed while it reports can block
+no other worker's reports, because its pipe simply reads as EOF.
 """
 
 import multiprocessing
-import queue as queue_module
+from multiprocessing.connection import wait
 
 from repro.errors import CampaignError, ReproError
 from repro.faultlib import parse_fault_model
@@ -167,10 +169,10 @@ class WorkerContext:
     def _prepare(self, workload_name, start_point):
         """Position ``workload_name`` at ``start_point`` (cached).
 
-        Mirrors the serial campaign exactly: the checkpoint at start
-        point *n* is always ``warmup + (n + 1) * spacing`` fault-free
-        cycles from reset, regardless of which trials ran in between
-        (every trial restores the checkpoint first).  Moving backwards
+        The checkpoint at start point *n* is always
+        ``warmup + (n + 1) * spacing`` fault-free cycles from reset,
+        regardless of which trials ran in between (every trial
+        restores the checkpoint first).  Moving backwards
         -- a retried unit landing on a worker that has advanced past it
         -- rebuilds the workload from reset.
 
@@ -272,9 +274,9 @@ def _worker_main(worker_id, config, pipeline_config, page_sets, golden_dir,
 
     def on_event(kind, detail):
         # Integrity incidents (e.g. a quarantined golden-cache entry)
-        # ride the results queue so the engine's telemetry sees them;
+        # ride the results pipe so the engine's telemetry sees them;
         # batch_id None marks them as out-of-band.
-        results.put(("event", worker_id, None, (kind, detail)))
+        results.send(("event", worker_id, None, (kind, detail)))
 
     context = WorkerContext(config, pipeline_config, page_sets=page_sets,
                             golden_dir=golden_dir, on_event=on_event,
@@ -289,36 +291,37 @@ def _worker_main(worker_id, config, pipeline_config, page_sets, golden_dir,
         batch_id, batch = task
         try:
             for unit, trial in context.run_batch(batch):
-                results.put(("trial", worker_id, batch_id, (unit, trial)))
+                results.send(("trial", worker_id, batch_id, (unit, trial)))
             stats = context.take_batch_stats()
             if stats is not None:
-                results.put(("event", worker_id, batch_id,
-                             ("batch_stats", stats)))
+                results.send(("event", worker_id, batch_id,
+                              ("batch_stats", stats)))
             # The "done" payload carries the batch's per-stage profile
             # delta (or None when profiling is off).
-            results.put(("done", worker_id, batch_id,
-                         context.take_profile()))
+            results.send(("done", worker_id, batch_id,
+                          context.take_profile()))
         except KeyboardInterrupt:
             return
         except ReproError as error:
             # Deterministic model/config failure: retrying cannot help,
             # so surface it to the engine verbatim.
-            results.put(("error", worker_id, batch_id,
-                         "%s: %s" % (type(error).__name__, error)))
+            results.send(("error", worker_id, batch_id,
+                          "%s: %s" % (type(error).__name__, error)))
             return
         except Exception as error:  # unexpected -- still report, not hang
-            results.put(("error", worker_id, batch_id,
-                         "%s: %s" % (type(error).__name__, error)))
+            results.send(("error", worker_id, batch_id,
+                          "%s: %s" % (type(error).__name__, error)))
             return
 
 
 class _Worker:
     """Engine-side handle for one worker process."""
 
-    def __init__(self, worker_id, process, tasks):
+    def __init__(self, worker_id, process, tasks, results):
         self.worker_id = worker_id
         self.process = process
         self.tasks = tasks
+        self.results = results  # read end of its pipe; None after EOF
         self.batch_id = None  # currently assigned batch, None when idle
         self.last_progress = None  # engine clock of the last message
         self.group = None  # last (workload, start_point) this worker prepared
@@ -342,7 +345,6 @@ class WorkerPool:
         self._page_sets = page_sets or {}
         self._golden_dir = golden_dir
         self._batch_lanes = batch_lanes
-        self.results = self._mp.Queue()
         self._next_id = 0
         self.workers = []
         for _ in range(workers):
@@ -352,14 +354,17 @@ class WorkerPool:
         worker_id = self._next_id
         self._next_id += 1
         tasks = self._mp.Queue()
+        results, writer = self._mp.Pipe(duplex=False)
         process = self._mp.Process(
             target=_worker_main,
             args=(worker_id, self._config, self._pipeline_config,
                   self._page_sets, self._golden_dir, self._batch_lanes,
-                  tasks, self.results),
+                  tasks, writer),
             daemon=True)
         process.start()
-        return _Worker(worker_id, process, tasks)
+        # The worker holds the only write end, so its exit reads as EOF.
+        writer.close()
+        return _Worker(worker_id, process, tasks, results)
 
     def by_id(self, worker_id):
         for worker in self.workers:
@@ -380,11 +385,23 @@ class WorkerPool:
         worker.tasks.put((batch_id, batch))
 
     def next_message(self, timeout):
-        """The next worker message, or None after ``timeout`` seconds."""
-        try:
-            return self.results.get(timeout=timeout)
-        except queue_module.Empty:
-            return None
+        """The next worker message, or None after ``timeout`` seconds.
+
+        A pipe at EOF (its worker exited, possibly mid-message) is
+        closed and skipped; :meth:`replace` or :meth:`retire` then
+        deals with the worker itself.
+        """
+        by_pipe = {w.results: w for w in self.workers
+                   if w.results is not None}
+        for pipe in wait(list(by_pipe), timeout):
+            try:
+                return pipe.recv()
+            except (EOFError, OSError):
+                # EOFError at a message boundary; an OSError ("got end
+                # of file during message") when the worker died mid-send.
+                pipe.close()
+                by_pipe[pipe].results = None
+        return None
 
     def _reap(self, worker):
         """Make ``worker``'s process exit, escalating SIGTERM -> SIGKILL.
@@ -401,6 +418,8 @@ class WorkerPool:
             worker.process.kill()
             worker.process.join(timeout=2.0)
         worker.tasks.close()
+        if worker.results is not None:
+            worker.results.close()
 
     def replace(self, worker):
         """Kill ``worker`` (if needed) and swap in a fresh process."""
@@ -428,5 +447,5 @@ class WorkerPool:
                 worker.process.terminate()
                 worker.process.join(timeout=2.0)
             worker.tasks.close()
-        self.results.close()
-        self.results.cancel_join_thread()
+            if worker.results is not None:
+                worker.results.close()

@@ -1,13 +1,12 @@
 """Trial-granular work decomposition.
 
-The serial :class:`~repro.inject.campaign.Campaign` nests three loops:
-workload -> start point -> trial.  The execution engine flattens that
-nest into :class:`TrialUnit` work units so parallelism scales with the
-*total trial count* rather than the workload count, and groups
-consecutive units of one ``(workload, start_point)`` into
-:class:`UnitBatch` scheduling quanta so a worker that has already
-prepared a start point's checkpoint and golden trace amortises it over
-a run of trials.
+A campaign nests three loops: workload -> start point -> trial.  The
+execution engine flattens that nest into :class:`TrialUnit` work units
+so parallelism scales with the *total trial count* rather than the
+workload count, and groups consecutive units of one
+``(workload, start_point)`` into :class:`UnitBatch` scheduling quanta
+so a worker that has already prepared a start point's checkpoint and
+golden trace amortises it over a run of trials.
 
 Unit identity is the journal key: a unit's trial is byte-identical
 across runs of one campaign fingerprint (the named-split RNG streams
@@ -56,7 +55,7 @@ class UnitBatch:
 
 
 def enumerate_units(config):
-    """All units of a campaign, in serial (``Campaign.run()``) order."""
+    """All units of a campaign, in serial (config) order."""
     return [
         TrialUnit(workload, start_point, trial_index)
         for workload in config.workloads

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import matches_digest, tiny_config
 from repro.errors import CampaignError
 from repro.inject.campaign import Campaign, CampaignConfig
 from repro.inject.outcome import TrialOutcome
@@ -80,11 +81,10 @@ def test_workload_too_short_rejected():
 
 def test_progress_callback():
     calls = []
-    config = CampaignConfig.test(trials_per_start_point=3,
-                                 start_points_per_workload=1)
-    Campaign(config).run(progress=lambda done, total: calls.append((done,
-                                                                    total)))
-    assert calls[-1] == (3, 3)
+    result = Campaign(tiny_config()).run(
+        progress=lambda done, total: calls.append((done, total)))
+    assert calls == [(1, 3), (2, 3), (3, 3)]
+    assert matches_digest(result, "tiny")
 
 
 def test_paper_scale_config_shape():

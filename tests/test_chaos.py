@@ -12,9 +12,10 @@ import signal
 
 import pytest
 
+from oracles import CONFIG_DIGESTS, journal_digest, matches_digest
 from repro.chaos import ChaosEvent, ChaosSchedule, run_chaos_campaign
-from repro.errors import CampaignDrained, CampaignError
-from repro.inject.campaign import Campaign, CampaignConfig
+from repro.errors import CampaignDrained, CampaignError, ConfigError
+from repro.inject.campaign import CampaignConfig
 from repro.inject.outcome import TrialOutcome
 from repro.perf.goldencache import QUARANTINE_DIR
 from repro.runner import CampaignRunner, run_campaign
@@ -27,15 +28,11 @@ def config():
 
 
 @pytest.fixture(scope="module")
-def serial(config):
-    return Campaign(config).run()
-
-
-@pytest.fixture(scope="module")
 def undisturbed_bytes(tmp_path_factory, config):
     """Canonical journal bytes of a chaos-free reference campaign."""
     directory = str(tmp_path_factory.mktemp("reference") / "campaign")
     run_campaign(config, workers=2, directory=directory)
+    assert journal_digest(directory) == CONFIG_DIGESTS["smoke"]
     return canonical_trial_bytes(journal_path(directory))
 
 
@@ -54,7 +51,7 @@ class _Incidents:
 
 
 def test_chaos_torn_campaign_converges_byte_identical(
-        tmp_path, config, serial, undisturbed_bytes):
+        tmp_path, config, undisturbed_bytes):
     directory = str(tmp_path / "campaign")
     chaos = ChaosSchedule([
         ChaosEvent("kill", 2),     # SIGKILL a busy worker
@@ -68,7 +65,7 @@ def test_chaos_torn_campaign_converges_byte_identical(
         config, directory, chaos, workers=2, batch_size=2,
         progress=incidents)
 
-    assert result.trials == serial.trials
+    assert matches_digest(result)
     assert canonical_trial_bytes(journal_path(directory)) \
         == undisturbed_bytes
     assert chaos.pending == [], \
@@ -81,14 +78,14 @@ def test_chaos_torn_campaign_converges_byte_identical(
     # requeue path is pinned by the worker-death and stall tests.
 
 
-def test_chaos_stall_is_detected_and_absorbed(tmp_path, config, serial):
+def test_chaos_stall_is_detected_and_absorbed(tmp_path, config):
     directory = str(tmp_path / "campaign")
     chaos = ChaosSchedule([ChaosEvent("stall", 2)])  # SIGSTOP a worker
     incidents = _Incidents()
     result, _restarts = run_chaos_campaign(
         config, directory, chaos, workers=2, batch_size=2,
         trial_timeout=1.0, progress=incidents)
-    assert result.trials == serial.trials
+    assert matches_digest(result)
     assert chaos.pending == []
     assert incidents.retried >= 1  # the stalled worker's units requeued
 
@@ -107,12 +104,37 @@ def test_chaos_schedule_replays_from_the_seed(config):
         != [(e.kind, e.at_done) for e in other_seed.events]
 
 
+def test_seeded_specs_pin_their_events():
+    """Both schedules share one token parser; pin what each yields.
+
+    The literal events fix each schedule's RNG namespace, horizon and
+    token order, so a seeded chaos run keeps replaying the same faults.
+    """
+    from repro.fabric.chaos import NetChaosSchedule
+
+    runner = ChaosSchedule.from_spec(
+        "kill:2, tear@5,io,,stall:2@7,cache", CampaignConfig.test(),
+        total=1000)
+    assert [(e.kind, e.at_done) for e in runner.events] == [
+        ("tear", 5), ("stall", 7), ("stall", 7), ("io", 196),
+        ("kill", 817), ("kill", 832), ("cache", 985)]
+    fabric = NetChaosSchedule.from_spec(
+        "drop:2, dup:2@3,,partition", seed=2004, horizon=50)
+    assert [(e.kind, e.at_lease) for e in fabric.events] == [
+        ("drop", 3), ("dup", 3), ("dup", 3), ("drop", 40),
+        ("partition", 40)]
+    with pytest.raises(ConfigError, match="not a trial count"):
+        ChaosSchedule.from_spec("kill@soon", CampaignConfig.test())
+    with pytest.raises(ConfigError, match="unknown chaos fault"):
+        ChaosSchedule.from_spec("flood", CampaignConfig.test())
+
+
 def test_chaos_requires_a_campaign_directory(config):
     with pytest.raises(CampaignError, match="campaign directory"):
         run_chaos_campaign(config, None, ChaosSchedule([]))
 
 
-def test_sigterm_drains_to_a_resumable_journal(tmp_path, config, serial):
+def test_sigterm_drains_to_a_resumable_journal(tmp_path, config):
     directory = str(tmp_path / "campaign")
 
     def send_sigterm_at_three(snapshot):
@@ -130,7 +152,7 @@ def test_sigterm_drains_to_a_resumable_journal(tmp_path, config, serial):
     assert not contents.truncated
 
     resumed = run_campaign(config, workers=1, directory=directory)
-    assert resumed.trials == serial.trials
+    assert matches_digest(resumed)
 
 
 def test_poison_unit_is_contained_as_harness_error(tmp_path, config):
@@ -185,7 +207,7 @@ def test_poison_unit_aborts_without_containment(tmp_path, config):
 
 
 def test_cache_corruption_quarantined_and_regenerated(
-        tmp_path, config, serial, undisturbed_bytes):
+        tmp_path, config, undisturbed_bytes):
     """Satellite: flip a byte in a golden-cache entry; the rerun must
     quarantine it, regenerate, and journal identically to a cold run."""
     directory = tmp_path / "campaign"
@@ -202,7 +224,7 @@ def test_cache_corruption_quarantined_and_regenerated(
     # Warm rerun from scratch: only the (corrupt) cache carries over.
     (directory / "journal.jsonl").unlink()
     rerun = run_campaign(config, workers=1, directory=str(directory))
-    assert rerun.trials == serial.trials
+    assert matches_digest(rerun)
     assert canonical_trial_bytes(journal_path(str(directory))) \
         == undisturbed_bytes
 
@@ -215,4 +237,4 @@ def test_cache_corruption_quarantined_and_regenerated(
     metrics = json.loads((directory / "metrics.json").read_text())
     assert metrics["quarantined"] == 1
     prom = (directory / "metrics.prom").read_text()
-    assert "repro_cache_quarantined 1" in prom
+    assert "repro_cache_quarantined_total 1" in prom

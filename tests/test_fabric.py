@@ -1,4 +1,4 @@
-"""Fabric integration tests: coordinator + workers vs the serial runner.
+"""Fabric integration tests: coordinator + workers vs the committed digest.
 
 The acceptance bar for the fabric is *byte-identity*: a campaign
 distributed over leases and workers -- including under seeded network
@@ -6,8 +6,8 @@ chaos with dropped leases, duplicate completions and partitioned
 workers -- must journal exactly the trial lines the serial runner
 journals, each exactly once.  These tests run a real coordinator and
 real workers in one event loop against ``CampaignConfig.test()`` (12
-trials) and compare canonical trial bytes against a module-scoped
-serial reference run.
+trials) and compare the canonical trial bytes against the smoke digest
+of ``tests/oracles.py``.
 """
 
 import asyncio
@@ -16,6 +16,7 @@ import shutil
 
 import pytest
 
+from oracles import CONFIG_DIGESTS, journal_digest
 from repro.errors import FabricError
 from repro.fabric import (
     Coordinator,
@@ -27,7 +28,7 @@ from repro.fabric import (
 from repro.inject.campaign import CampaignConfig
 from repro.inject.store import config_to_dict
 from repro.runner import run_campaign
-from repro.runner.journal import canonical_trial_bytes, journal_path
+from repro.runner.journal import journal_path
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,7 @@ def config():
 def serial_dir(tmp_path_factory, config):
     directory = tmp_path_factory.mktemp("fabric-serial") / "campaign"
     run_campaign(config, workers=0, directory=str(directory))
+    assert journal_digest(directory) == CONFIG_DIGESTS["smoke"]
     return directory
 
 
@@ -72,11 +74,9 @@ def run_fabric(base_dir, config, workers, ttl=5.0, shard_size=3,
     return asyncio.run(scenario())
 
 
-def assert_byte_identical(base_dir, fingerprint, serial_dir):
-    fabric_journal = journal_path(str(base_dir / fingerprint[:12]))
-    serial_journal = journal_path(str(serial_dir))
-    assert canonical_trial_bytes(fabric_journal) \
-        == canonical_trial_bytes(serial_journal)
+def assert_byte_identical(base_dir, fingerprint):
+    assert journal_digest(base_dir / fingerprint[:12]) \
+        == CONFIG_DIGESTS["smoke"]
 
 
 def journal_unit_keys(base_dir, fingerprint):
@@ -98,8 +98,7 @@ def fingerprint_of(config):
 # -- the smoke: 2 plain workers ------------------------------------------
 
 
-def test_two_worker_fabric_matches_serial_byte_for_byte(
-        tmp_path, config, serial_dir):
+def test_two_worker_fabric_matches_serial_byte_for_byte(tmp_path, config):
     status, stats = run_fabric(tmp_path, config, workers=[None, None])
     fp = fingerprint_of(config)
     assert status["fabric"]["campaigns_done"] == 1
@@ -108,7 +107,7 @@ def test_two_worker_fabric_matches_serial_byte_for_byte(
     assert sum(s["trials"] for s in stats) == config.total_trials
     keys = journal_unit_keys(tmp_path, fp)
     assert len(keys) == len(set(keys)) == config.total_trials
-    assert_byte_identical(tmp_path, fp, serial_dir)
+    assert_byte_identical(tmp_path, fp)
     # The status one-liner renders without blowing up and says done.
     assert "campaigns 0 active 1 done" in render_status(status)
 
@@ -116,8 +115,7 @@ def test_two_worker_fabric_matches_serial_byte_for_byte(
 # -- the acceptance criterion: chaos, auto-recovery, still identical -----
 
 
-def test_chaotic_fabric_recovers_and_stays_byte_identical(
-        tmp_path, config, serial_dir):
+def test_chaotic_fabric_recovers_and_stays_byte_identical(tmp_path, config):
     # Worker 0 drops its first lease on the floor and duplicates the
     # completion of its second; worker 1 partitions during its first
     # lease (no heartbeats, completes late after the TTL).  The short
@@ -138,7 +136,7 @@ def test_chaotic_fabric_recovers_and_stays_byte_identical(
     assert fabric["duplicate_completions"] >= 1
     keys = journal_unit_keys(tmp_path, fp)
     assert len(keys) == len(set(keys)) == config.total_trials
-    assert_byte_identical(tmp_path, fp, serial_dir)
+    assert_byte_identical(tmp_path, fp)
     dropped = sum(s["dropped"] for s in stats)
     duplicates = sum(s["duplicates_sent"] for s in stats)
     partitions = sum(s["partitions"] for s in stats)
@@ -183,7 +181,7 @@ def test_submit_resumes_partial_journal_and_converges(
     assert stats["trials"] == 9
     keys = journal_unit_keys(tmp_path, fp)
     assert len(keys) == len(set(keys)) == config.total_trials
-    assert_byte_identical(tmp_path, fp, serial_dir)
+    assert_byte_identical(tmp_path, fp)
 
 
 def test_resume_refuses_foreign_fingerprint(tmp_path, config, serial_dir):
@@ -210,7 +208,7 @@ def test_resume_refuses_foreign_fingerprint(tmp_path, config, serial_dir):
 # -- multi-tenant: two campaigns, fair service, both converge ------------
 
 
-def test_two_tenants_both_complete(tmp_path, config, serial_dir):
+def test_two_tenants_both_complete(tmp_path, config):
     other = CampaignConfig.test(seed=config.seed + 7)
     status, _stats = run_fabric(
         tmp_path, config, workers=[None, None],
@@ -222,14 +220,13 @@ def test_two_tenants_both_complete(tmp_path, config, serial_dir):
         fp = fingerprint_of(cfg)
         keys = journal_unit_keys(tmp_path, fp)
         assert len(keys) == len(set(keys)) == cfg.total_trials
-    assert_byte_identical(tmp_path, fingerprint_of(config), serial_dir)
+    assert_byte_identical(tmp_path, fingerprint_of(config))
 
 
 # -- wire-level rejections the lease table must survive ------------------
 
 
-def test_corrupt_segment_is_rejected_and_the_range_recovers(
-        tmp_path, config, serial_dir):
+def test_corrupt_segment_is_rejected_and_the_range_recovers(tmp_path, config):
     async def scenario():
         coord = Coordinator(str(tmp_path), ttl=0.5, shard_size=3)
         port = await coord.start()
@@ -259,7 +256,7 @@ def test_corrupt_segment_is_rejected_and_the_range_recovers(
     status = asyncio.run(scenario())
     assert status["fabric"]["campaigns_done"] == 1
     assert status["fabric"]["steals"] >= 1
-    assert_byte_identical(tmp_path, fingerprint_of(config), serial_dir)
+    assert_byte_identical(tmp_path, fingerprint_of(config))
 
 
 def test_submit_is_idempotent_per_fingerprint(tmp_path, config):

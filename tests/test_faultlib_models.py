@@ -15,6 +15,12 @@ import json
 
 import pytest
 
+from oracles import (
+    MODEL_DIGESTS,
+    journal_digest,
+    model_config,
+    trials_digest,
+)
 from repro.errors import CampaignError
 from repro.faultlib import (
     DEFAULT_FAULT_MODEL,
@@ -31,7 +37,7 @@ from repro.inject.store import (
     trial_to_dict,
 )
 from repro.runner.engine import run_campaign
-from repro.runner.journal import canonical_trial_bytes, journal_path
+from repro.runner.journal import journal_path
 from repro.runner.pool import WorkerContext
 from repro.runner.units import batch_units, enumerate_units
 
@@ -171,20 +177,16 @@ def test_trial_dict_roundtrip_per_model(spec):
 # -- scalar vs batched equivalence per model ----------------------------
 
 
-def _config(spec):
-    return CampaignConfig.test(start_points_per_workload=1,
-                               horizon=300, fault_model=spec)
-
-
 @pytest.mark.parametrize("spec", EQUIVALENCE_SPECS)
 def test_scalar_vs_batched_trials_per_model(tmp_path, spec):
-    """Every registered model: batched trials == scalar trials.
+    """Every registered model: batched trials == scalar trials == digest.
 
     Batchable models ride the bit-plane engine as plane XORs;
     persistent/multi-element models take its scalar fallback -- either
-    way ``run_batch`` must equal ``run_unit`` trial for trial.
+    way ``run_batch`` must equal ``run_unit`` trial for trial, and both
+    must reproduce the model's committed digest.
     """
-    config = _config(spec)
+    config = model_config(spec)
     golden_dir = str(tmp_path / "golden")
     units = enumerate_units(config)
 
@@ -192,6 +194,7 @@ def test_scalar_vs_batched_trials_per_model(tmp_path, spec):
     scalar = [scalar_context.run_unit(unit) for unit in units]
     assert all(trial.fault_model == parse_fault_model(spec).spec
                for trial in scalar)
+    assert trials_digest(scalar) == MODEL_DIGESTS[spec]
 
     batched_context = WorkerContext(config, golden_dir=golden_dir,
                                     batch_lanes=8)
@@ -205,21 +208,19 @@ def test_scalar_vs_batched_trials_per_model(tmp_path, spec):
 @pytest.mark.parametrize("spec", [s for s in EQUIVALENCE_SPECS
                                   if s != DEFAULT_FAULT_MODEL])
 def test_serial_vs_batch8_journals_byte_identical(tmp_path, spec):
-    """Acceptance bar: serial and ``--batch 8`` journals match bytewise."""
-    config = _config(spec)
-    canonical = {}
+    """Acceptance bar: serial and ``--batch 8`` journals match the digest."""
+    config = model_config(spec)
     for label, lanes in (("serial", None), ("batch8", 8)):
         directory = str(tmp_path / label)
         run_campaign(config, workers=1, directory=directory,
                      batch_lanes=lanes)
-        canonical[label] = canonical_trial_bytes(journal_path(directory))
-    assert canonical["batch8"] == canonical["serial"]
+        assert journal_digest(directory) == MODEL_DIGESTS[spec], label
 
 
 def test_journal_lines_carry_model(tmp_path):
     """Non-default journal lines record their model; defaults do not."""
     directory = str(tmp_path / "campaign")
-    run_campaign(_config("multi_bit:adjacent:2"), workers=1,
+    run_campaign(model_config("multi_bit:adjacent:2"), workers=1,
                  directory=directory)
     lines = [json.loads(line)
              for line in open(journal_path(directory), encoding="utf-8")]
@@ -229,7 +230,8 @@ def test_journal_lines_carry_model(tmp_path):
     assert all(t["fault_model"] == "multi_bit:adjacent:2" for t in trials)
 
     default_dir = str(tmp_path / "default")
-    run_campaign(_config("single_bit"), workers=1, directory=default_dir)
+    run_campaign(model_config("single_bit"), workers=1,
+                 directory=default_dir)
     lines = [json.loads(line) for line
              in open(journal_path(default_dir), encoding="utf-8")]
     trials = [line["trial"] for line in lines
@@ -248,7 +250,7 @@ def test_query_by_fault_model_cli(tmp_path, capsys):
     dirs = []
     for spec in ("single_bit", "multi_bit:adjacent:2"):
         directory = str(tmp_path / spec.replace(":", "_"))
-        run_campaign(_config(spec), workers=1, directory=directory)
+        run_campaign(model_config(spec), workers=1, directory=directory)
         dirs.append(directory)
 
     argv = ["query", "--by", "fault_model"]

@@ -5,10 +5,11 @@ when a category exists that the analysis layer does not aggregate.
 This applies the same pattern to fault models: a kind registered in
 ``repro.faultlib`` must appear in the scalar-vs-batched equivalence
 matrix *and* the journal round-trip matrix of
-``tests/test_faultlib_models.py``.  The matrices are module-level
-literal tuples read from source with :mod:`ast`, so a new model that
-ships without either proof fails here -- before a campaign ever runs
-it.
+``tests/test_faultlib_models.py``, and must have a committed trial
+digest in ``tests/oracles.py``.  The matrices and the digest table are
+module-level literals read from source with :mod:`ast`, so a new model
+that ships without any of these proofs fails here -- before a campaign
+ever runs it.
 """
 
 import ast
@@ -16,22 +17,23 @@ import os
 
 from repro.faultlib import FAULT_MODEL_KINDS, parse_fault_model
 
-_MODELS_TEST = os.path.join(os.path.dirname(__file__),
-                            "test_faultlib_models.py")
+_HERE = os.path.dirname(__file__)
+_MODELS_TEST = os.path.join(_HERE, "test_faultlib_models.py")
+_ORACLES = os.path.join(_HERE, "oracles.py")
 
 
-def _literal_tuple(name):
-    with open(_MODELS_TEST, "r", encoding="utf-8") as handle:
+def _literal(name, path=_MODELS_TEST, kind=tuple):
+    with open(path, "r", encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
     for node in tree.body:
         if isinstance(node, ast.Assign) \
                 and any(isinstance(target, ast.Name) and target.id == name
                         for target in node.targets):
             value = ast.literal_eval(node.value)
-            assert isinstance(value, tuple), \
-                "%s must stay a literal tuple" % name
+            assert isinstance(value, kind), \
+                "%s must stay a literal %s" % (name, kind.__name__)
             return value
-    raise AssertionError("%s not found in %s" % (name, _MODELS_TEST))
+    raise AssertionError("%s not found in %s" % (name, path))
 
 
 def _kinds_of(specs):
@@ -40,14 +42,23 @@ def _kinds_of(specs):
 
 def test_every_kind_in_equivalence_matrix():
     """Scalar-vs-batched equivalence covers every registered kind."""
-    assert _kinds_of(_literal_tuple("EQUIVALENCE_SPECS")) \
+    assert _kinds_of(_literal("EQUIVALENCE_SPECS")) \
         == set(FAULT_MODEL_KINDS)
 
 
 def test_every_kind_in_roundtrip_matrix():
     """Journal/dict round-trips cover every registered kind."""
-    assert _kinds_of(_literal_tuple("ROUNDTRIP_SPECS")) \
+    assert _kinds_of(_literal("ROUNDTRIP_SPECS")) \
         == set(FAULT_MODEL_KINDS)
+
+
+def test_every_kind_has_a_digest():
+    """Each equivalence spec, hence every kind, has a committed digest."""
+    digests = _literal("MODEL_DIGESTS", path=_ORACLES, kind=dict)
+    assert set(digests) == set(_literal("EQUIVALENCE_SPECS"))
+    assert _kinds_of(digests) == set(FAULT_MODEL_KINDS)
+    for digest in digests.values():
+        assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
 
 
 def test_kind_registry_is_stable():

@@ -14,6 +14,7 @@ import shutil
 
 import pytest
 
+from oracles import CONFIG_DIGESTS, journal_digest, matches_digest
 from repro.errors import CampaignError, SimulationError
 from repro.inject.campaign import Campaign, CampaignConfig
 from repro.runner import run_campaign
@@ -35,15 +36,11 @@ def config():
 
 
 @pytest.fixture(scope="module")
-def serial(config):
-    return Campaign(config).run()
-
-
-@pytest.fixture(scope="module")
 def finished_dir(tmp_path_factory, config):
     """A completed campaign directory (copied per test before editing)."""
     directory = tmp_path_factory.mktemp("journal") / "campaign"
     run_campaign(config, workers=1, directory=str(directory))
+    assert journal_digest(directory) == CONFIG_DIGESTS["smoke"]
     return directory
 
 
@@ -94,7 +91,7 @@ def test_midfile_flip_names_line_and_byte_offset(
 
 
 def test_final_line_flip_is_torn_tail_resume_byte_identical(
-        finished_dir, tmp_path, config, serial):
+        finished_dir, tmp_path, config):
     directory = _copy(finished_dir, tmp_path)
     path = journal_path(str(directory))
     with open(path) as handle:
@@ -107,13 +104,13 @@ def test_final_line_flip_is_torn_tail_resume_byte_identical(
     assert len(contents.trials) == config.total_trials - 1
 
     resumed = run_campaign(config, workers=1, directory=str(directory))
-    assert resumed.trials == serial.trials
+    assert matches_digest(resumed)
     assert canonical_trial_bytes(path) \
         == canonical_trial_bytes(journal_path(str(finished_dir)))
 
 
 def test_repair_cli_truncates_after_confirmation(
-        finished_dir, tmp_path, config, serial, capsys):
+        finished_dir, tmp_path, config, capsys):
     from repro.cli import main as repro_main
     directory = _copy(finished_dir, tmp_path)
     path = journal_path(str(directory))
@@ -135,7 +132,7 @@ def test_repair_cli_truncates_after_confirmation(
     contents = read_journal(path)
     assert len(contents.trials) == 3  # header + 3 trials kept
     resumed = run_campaign(config, workers=1, directory=str(directory))
-    assert resumed.trials == serial.trials
+    assert matches_digest(resumed)
 
     # A clean journal repairs to a no-op.
     assert repro_main(["campaign", "--repair", "--dir", str(directory),
@@ -144,7 +141,7 @@ def test_repair_cli_truncates_after_confirmation(
 
 
 def test_legacy_schema1_journal_loads_with_note(
-        finished_dir, tmp_path, config, serial, capsys):
+        finished_dir, tmp_path, config, capsys):
     directory = _copy(finished_dir, tmp_path)
     path = journal_path(str(directory))
     rewritten = []
@@ -165,7 +162,7 @@ def test_legacy_schema1_journal_loads_with_note(
     assert len(state.trials) == config.total_trials
 
     resumed = run_campaign(config, workers=1, directory=str(directory))
-    assert resumed.trials == serial.trials
+    assert matches_digest(resumed)
 
 
 def test_unknown_schema_is_rejected(finished_dir, tmp_path, config):
@@ -258,14 +255,13 @@ def test_write_segment_round_trips_checksummed(finished_dir, tmp_path,
     assert status == "ok"
 
 
-def test_campaign_dict_from_journal_feeds_merge(finished_dir, serial,
-                                                config):
+def test_campaign_dict_from_journal_feeds_merge(finished_dir, config):
     from repro.inject.store import campaign_to_dict, merge_campaign_dicts
     from repro.runner.journal import campaign_dict_from_journal
 
     document = campaign_dict_from_journal(str(journal_path(finished_dir)))
     assert document["kind"] == "uarch-campaign"
     merged = merge_campaign_dicts(
-        [document, campaign_to_dict(serial)])
+        [document, campaign_to_dict(Campaign(config).run())])
     assert len(merged["trials"]) == config.total_trials
     assert merged["fingerprint"] == document["fingerprint"]

@@ -81,9 +81,9 @@ def test_openmetrics_rendering():
     assert 'journal_schema="2"' in text
 
 
-def test_openmetrics_monotonic_counters_with_aliases():
+def test_openmetrics_monotonic_counters_without_aliases():
     """Monotonic samples are counters named *_total; the pre-rename
-    gauge aliases survive one release with a deprecation HELP."""
+    gauge aliases are gone."""
     text = render_openmetrics({"retried": 3, "io_retries": 2,
                                "fabric": {"steals": 1}})
     for family in ("repro_trials_retried", "repro_io_retries",
@@ -91,10 +91,10 @@ def test_openmetrics_monotonic_counters_with_aliases():
                    "repro_fabric_steals", "repro_fabric_leases_granted",
                    "repro_fabric_duplicate_completions"):
         assert "# TYPE %s_total counter" % family in text
-        assert "# TYPE %s gauge" % family in text
-        assert "DEPRECATED alias of %s_total" % family in text
+        assert "# TYPE %s gauge" % family not in text
+        assert "\n%s " % family not in text
+    assert "DEPRECATED" not in text
     assert "repro_trials_retried_total 3" in text
-    assert "repro_trials_retried 3" in text
     assert "repro_fabric_steals_total 1" in text
 
 

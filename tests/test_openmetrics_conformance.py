@@ -144,11 +144,14 @@ def test_fabric_snapshot_conforms():
     assert value == "4"
 
 
-def test_deprecated_aliases_parse_as_distinct_families():
+def test_deprecated_aliases_are_absent():
     families = parse_exposition(render_openmetrics(_runner_snapshot()))
     assert families["repro_io_retries_total"]["type"] == "counter"
-    assert families["repro_io_retries"]["type"] == "gauge"
-    assert "DEPRECATED" in families["repro_io_retries"]["help"]
+    for alias in ("repro_trials_retried", "repro_harness_errors",
+                  "repro_cache_quarantined", "repro_io_retries"):
+        assert alias not in families
+    assert not any("DEPRECATED" in family["help"]
+                   for family in families.values())
 
 
 def test_parser_rejects_violations():

@@ -1,22 +1,23 @@
 """Execution-engine tests: determinism, crash recovery, robustness.
 
-The engine's contract is byte-identity with the serial reference
-runner: for a fixed config, ``CampaignRunner`` must produce exactly the
-trials of ``Campaign(config).run()`` for any worker count, with or
+The engine's contract is byte-identity with the committed trial
+digests of ``tests/oracles.py``: for a fixed config, ``CampaignRunner``
+must produce exactly the digested trials for any worker count, with or
 without an interrupt, a truncated journal, or a dead worker in the
-middle.  ``TrialResult`` is a plain dataclass, so ``==`` over the trial
-lists is a field-for-field (byte-identical) comparison.
+middle.
 """
 
 import json
 import os
+from multiprocessing.connection import wait
 
 import pytest
 
+from oracles import ELIGIBLE_BITS, matches_digest, two_workload_config
 from repro.errors import SimulationError
-from repro.inject.campaign import Campaign, CampaignConfig
-from repro.inject.parallel import run_parallel
+from repro.inject.campaign import CampaignConfig
 from repro.runner import CampaignRunner, enumerate_units, run_campaign
+from repro.runner import pool as pool_module
 from repro.runner.journal import journal_path, metrics_path
 from repro.runner.telemetry import Telemetry
 from repro.runner.units import TrialUnit, auto_batch_size, batch_units
@@ -28,8 +29,8 @@ def config():
 
 
 @pytest.fixture(scope="module")
-def serial(config):
-    return Campaign(config).run()
+def inline(config):
+    return run_campaign(config, workers=1)
 
 
 # -- Work decomposition --------------------------------------------------------
@@ -65,27 +66,33 @@ def test_auto_batch_size_bounds():
 # -- Determinism ---------------------------------------------------------------
 
 
-def test_inline_engine_matches_serial(config, serial):
-    result = run_campaign(config, workers=1)
-    assert result.config == serial.config
-    assert result.trials == serial.trials
-    assert result.eligible_bits == serial.eligible_bits
-    assert result.inventory == serial.inventory
+def test_inline_engine_matches_serial(config, inline):
+    assert inline.config == config
+    assert matches_digest(inline)
+    assert inline.eligible_bits == ELIGIBLE_BITS
+    assert inline.inventory
 
 
-def test_pool_engine_matches_serial(config, serial):
+def test_pool_engine_matches_serial(config, inline):
     result = run_campaign(config, workers=3)
-    assert result.trials == serial.trials
-    assert result.eligible_bits == serial.eligible_bits
+    assert matches_digest(result)
+    assert result.eligible_bits == ELIGIBLE_BITS
+    assert result.inventory == inline.inventory
 
 
-def test_single_workload_campaign_scales_past_one_worker(config, serial):
+def test_single_workload_campaign_scales_past_one_worker(config):
     # The old workload-sharded runner fell back to serial whenever
     # len(workloads) <= 1; the trial-granular engine must not.
     runner = CampaignRunner(config, workers=99)
     assert runner.workers == config.total_trials  # clamped, not 1
-    result = run_parallel(config, workers=4)
-    assert result.trials == serial.trials
+    assert matches_digest(run_campaign(config, workers=4))
+
+
+def test_two_workload_pool_matches_digest():
+    result = run_campaign(two_workload_config(), workers=2)
+    workloads = [t.workload for t in result.trials]
+    assert workloads == ["gzip"] * 5 + ["gcc"] * 5  # config order
+    assert matches_digest(result, "two_workload")
 
 
 # -- Crash recovery ------------------------------------------------------------
@@ -96,7 +103,7 @@ class _Interrupt(KeyboardInterrupt):
 
 
 def test_interrupt_truncation_resume_is_byte_identical(
-        tmp_path, config, serial):
+        tmp_path, config, inline):
     directory = str(tmp_path / "campaign")
     seen = []
 
@@ -119,21 +126,22 @@ def test_interrupt_truncation_resume_is_byte_identical(
         handle.truncate(os.path.getsize(path) - 15)
 
     resumed = run_campaign(config, workers=2, directory=directory)
-    assert resumed.trials == serial.trials
-    assert resumed.eligible_bits == serial.eligible_bits
-    assert resumed.inventory == serial.inventory
+    assert matches_digest(resumed)
+    # Both restored from the journal header.
+    assert resumed.eligible_bits == ELIGIBLE_BITS
+    assert resumed.inventory == inline.inventory
 
     # The journal now holds the full campaign; a further resume
-    # recomputes nothing and still reproduces the serial result.
+    # recomputes nothing and still reproduces the digested trials.
     again = run_campaign(config, workers=1, directory=directory)
-    assert again.trials == serial.trials
+    assert matches_digest(again)
     metrics = json.loads(open(metrics_path(directory)).read())
     assert metrics["total"] == config.total_trials
     assert metrics["resumed"] == config.total_trials
     assert metrics["fresh"] == 0
 
 
-def test_worker_death_requeues_and_matches_serial(config, serial):
+def test_worker_death_requeues_and_matches_serial(config):
     killed = []
     runner = CampaignRunner(config, workers=2, batch_size=4)
 
@@ -147,7 +155,40 @@ def test_worker_death_requeues_and_matches_serial(config, serial):
     runner.progress = kill_one_busy_worker
     result = runner.run()
     assert killed, "test never observed a busy worker to kill"
-    assert result.trials == serial.trials
+    assert matches_digest(result)
+
+
+def _report_then_wait(worker_id, config, pipeline_config, page_sets,
+                      golden_dir, batch_lanes, tasks, results):
+    """Stand-in worker loop: worker 0 sends a report too big for its
+    pipe, so it is still writing when it is killed; the others report
+    once.  Both then wait for the shutdown sentinel."""
+    if worker_id == 0:
+        results.send(b"x" * (1 << 20))
+    else:
+        results.send(("report", worker_id, None, None))
+    tasks.get()
+
+
+def test_worker_killed_mid_report_blocks_no_other_report(monkeypatch,
+                                                         config):
+    monkeypatch.setattr(pool_module, "_worker_main", _report_then_wait)
+    pool = pool_module.WorkerPool(config, None, 2)
+    try:
+        first = pool.workers[0]
+        assert wait([first.results], timeout=10), "worker 0 never wrote"
+        first.process.kill()
+        first.process.join(timeout=5)
+        assert not first.process.is_alive()
+        messages = []
+        for _ in range(50):
+            messages.append(pool.next_message(0.2))
+            if ("report", 1, None, None) in messages:
+                break
+        assert ("report", 1, None, None) in messages
+        assert first.results is None  # its pipe read as EOF and closed
+    finally:
+        pool.shutdown()
 
 
 def test_resume_rejects_fingerprint_mismatch(tmp_path, config):
@@ -179,12 +220,12 @@ def test_resume_requires_journal_when_asked(tmp_path, config):
 # -- Telemetry -----------------------------------------------------------------
 
 
-def test_telemetry_rates_and_eta(serial):
+def test_telemetry_rates_and_eta(inline):
     # First tick anchors _started; record_trial timestamps each
     # completion (per-worker latency), snapshot reads elapsed.
     ticks = iter([0.0] + [10.0] * 8)
     telemetry = Telemetry(total=10, resumed=2, clock=lambda: next(ticks))
-    for trial in serial.trials[:4]:
+    for trial in inline.trials[:4]:
         telemetry.record_trial(trial)
     telemetry.set_workers(3, 4)
     snapshot = telemetry.snapshot()
@@ -226,6 +267,6 @@ def test_telemetry_incident_counters_in_line_json_and_prom():
     assert as_dict["io_retries"] == 3
 
     prom = render_openmetrics(as_dict)
-    assert "repro_harness_errors 1" in prom
-    assert "repro_cache_quarantined 1" in prom
-    assert "repro_io_retries 3" in prom
+    assert "repro_harness_errors_total 1" in prom
+    assert "repro_cache_quarantined_total 1" in prom
+    assert "repro_io_retries_total 3" in prom

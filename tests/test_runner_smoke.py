@@ -7,23 +7,26 @@ and gates every commit.
 
 import json
 
-from repro.inject.campaign import Campaign, CampaignConfig
+from oracles import (
+    CONFIG_DIGESTS,
+    ELIGIBLE_BITS,
+    journal_digest,
+    matches_digest,
+    tiny_config,
+)
 from repro.runner import run_campaign
 from repro.runner.journal import journal_path, metrics_path
 
 
 def test_tiny_resumable_campaign_end_to_end(tmp_path):
-    config = CampaignConfig.test(trials_per_start_point=3,
-                                 start_points_per_workload=1)
+    config = tiny_config()
     directory = str(tmp_path / "campaign")
 
     first = run_campaign(config, workers=2, directory=directory)
     assert len(first.trials) == 3
-
-    serial = Campaign(config).run()
-    assert first.trials == serial.trials
-    assert first.eligible_bits == serial.eligible_bits
-    assert first.inventory == serial.inventory
+    assert matches_digest(first, "tiny")
+    assert journal_digest(directory) == CONFIG_DIGESTS["tiny"]
+    assert first.eligible_bits == ELIGIBLE_BITS
 
     with open(journal_path(directory)) as handle:
         records = [json.loads(line) for line in handle]
@@ -33,7 +36,8 @@ def test_tiny_resumable_campaign_end_to_end(tmp_path):
     # Resuming a finished campaign recomputes nothing and reproduces
     # the same serial-order result.
     second = run_campaign(config, workers=2, directory=directory)
-    assert second.trials == serial.trials
+    assert second.trials == first.trials
+    assert second.inventory == first.inventory
     metrics = json.loads(open(metrics_path(directory)).read())
     assert metrics["resumed"] == 3
     assert metrics["fresh"] == 0
